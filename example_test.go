@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	stem "repro"
@@ -171,6 +172,37 @@ func ExampleCache_GetOrLoad() {
 	fmt.Printf("%s after %d origin call(s)\n", v, originCalls.Load())
 	// Output:
 	// value-for-user:42 after 1 origin call(s)
+}
+
+// TestGetOrLoadExampleOneOriginCall runs ExampleCache_GetOrLoad's scenario
+// as a test: go test runs an example once whatever -count says, and this
+// race is only caught by repetition (-count=200 in CI).
+func TestGetOrLoadExampleOneOriginCall(t *testing.T) {
+	c, err := stem.NewCache[string, string](stem.CacheConfig{Capacity: 1024, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var originCalls atomic.Int32
+	origin := func(ctx context.Context, key string) (string, error) {
+		originCalls.Add(1)
+		return "value-for-" + key, nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.GetOrLoad(context.Background(), "user:42", origin); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := originCalls.Load(); n != 1 {
+		t.Fatalf("origin calls = %d; want 1 (singleflight)", n)
+	}
 }
 
 // Loader chains: try the fast tier first, fall back to the authoritative

@@ -32,8 +32,16 @@ import (
 
 // Counter is a monotonically increasing uint64 metric. The zero value is
 // ready to use; a nil *Counter is a no-op sink.
+//
+// A counter's value is the atomic count its Inc/Add calls build plus the
+// sum of its collectors (see Collect): a component that already keeps an
+// exact count under its own lock can expose it at scrape time instead of
+// paying a second, shared atomic write per event.
 type Counter struct {
 	v atomic.Uint64
+	// fns holds the collectors, replaced copy-on-write so Value never
+	// locks; nil (the common case) costs Value one pointer load.
+	fns atomic.Pointer[[]func() uint64]
 }
 
 // Inc adds one.
@@ -50,14 +58,46 @@ func (c *Counter) Add(d uint64) {
 	}
 }
 
-// Value returns the current count (0 for a nil counter).
+// Collect adds fn to the counter's collectors: from now on Value includes
+// fn's result, read at call time. fn must be safe to call concurrently and
+// must report a monotonically increasing count. Collectors run on the
+// reader's goroutine, never under the registry's lock, so fn may take its
+// owner's own locks. Several collectors on one counter sum — two caches
+// sharing a registry report their combined count. A nil fn is ignored.
+func (c *Counter) Collect(fn func() uint64) {
+	if c == nil || fn == nil {
+		return
+	}
+	for {
+		old := c.fns.Load()
+		var next []func() uint64
+		if old != nil {
+			next = append(next, *old...)
+		}
+		next = append(next, fn)
+		if c.fns.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// Value returns the current count: the atomic part plus every collector's
+// result (0 for a nil counter).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	v := c.v.Load()
+	if fns := c.fns.Load(); fns != nil {
+		for _, fn := range *fns {
+			v += fn()
+		}
+	}
+	return v
 }
 
+// reset zeroes the atomic part only; collected counts belong to their
+// owners and are not the registry's to clear.
 func (c *Counter) reset() { c.v.Store(0) }
 
 // Gauge is a last-write-wins float64 metric. A nil *Gauge is a no-op sink.
@@ -252,7 +292,9 @@ func (r *Registry) Names() []string {
 
 // Reset zeroes every counter, gauge and histogram (derived gauges are left
 // alone). It pairs with sim.Simulator.ResetStats: discard warm-up, keep the
-// metric cells and their registrations.
+// metric cells and their registrations. A collected counter (Collect) loses
+// only its atomic part: the collected counts live in their owners — a
+// stemcache's counters are its Stats — and keep reporting them.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -275,15 +317,21 @@ func (r *Registry) Reset() {
 
 // Snapshot returns a JSON-marshalable view of every metric. Map keys are
 // the metric names; json.Marshal renders them in sorted order, so the
-// output is stable.
+// output is stable. Values are read after the registry lock is released:
+// counter collectors and derived gauges may take their owners' locks, and
+// those must never nest inside the registry's.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.metrics))
+	metrics := make(map[string]any, len(r.metrics))
 	for n, m := range r.metrics {
+		metrics[n] = m
+	}
+	r.mu.Unlock()
+	out := make(map[string]any, len(metrics))
+	for n, m := range metrics {
 		switch m := m.(type) {
 		case *Counter:
 			out[n] = m.Value()

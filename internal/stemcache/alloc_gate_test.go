@@ -8,25 +8,16 @@ package stemcache
 
 import "testing"
 
-// TestHotPathZeroAllocs is the in-tree form of the CI allocation gate for
-// the shard-read path: Get on a warm string-keyed cache must not allocate.
-// Hits and shadow-registering misses are both measured — the miss path
-// feeds the demand counters and must stay allocation-free too.
+// TestHotPathZeroAllocs is the in-tree form of the CI allocation gate: on
+// a warm string-keyed cache, Get hits and shadow-registering misses (with
+// and without a metrics registry), Set overwrites and Set inserts that
+// evict must not allocate. The miss and evict paths feed the demand
+// counters and the STEM victim path, and must stay allocation-free too.
 func TestHotPathZeroAllocs(t *testing.T) {
-	c, keys := benchReadCache(t)
-	i := 0
-	hit := func() {
-		c.Get(keys[i&(benchReadKeys-1)])
-		i++
-	}
-	hit() // reach steady state before measuring
-	if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
-		t.Errorf("shard-read hit: %v allocs/op, want 0", allocs)
-	}
-
-	miss := func() { c.Get("bench:absent-key") }
-	miss()
-	if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
-		t.Errorf("shard-read miss: %v allocs/op, want 0", allocs)
+	for _, hc := range hotPathCases(t) {
+		hc.op() // reach steady state before measuring
+		if allocs := testing.AllocsPerRun(100, hc.op); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", hc.name, allocs)
+		}
 	}
 }

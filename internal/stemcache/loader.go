@@ -186,80 +186,58 @@ func (c *Cache[K, V]) lookupLoadT(tid int, key K) (V, LoadState) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
+	clk := clock{now: c.now}
 	sh.tick++
 	sh.stats.Gets++
-	c.met.gets.Inc()
 	c.tGet(tid)
 
 	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, stale := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		e := &s.entries[w]
-		switch {
-		case e.neg:
-			sh.stats.Misses++
-			sh.stats.NegativeHits++
-			c.met.misses.Inc()
-			c.met.negativeHits.Inc()
-			c.tMiss(tid)
-			return zero, LoadNegative
-		case stale:
-			sh.stats.Hits++
-			sh.stats.StaleServed++
-			c.met.hits.Inc()
-			c.met.staleServed.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, LoadStale
-		default:
-			sh.stats.Hits++
-			c.met.hits.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, LoadHit
-		}
+	set, w, stale := c.probe(sh, shIdx, idx, key, h, &clk)
+	if w < 0 {
+		sh.stats.Misses++
+		c.tMiss(tid)
+		c.consultShadow(sh, shIdx, idx, h, tid)
+		return zero, LoadMiss
 	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, stale := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			e := &p.entries[w]
-			switch {
-			case e.neg:
-				sh.stats.Misses++
-				sh.stats.NegativeHits++
-				c.met.misses.Inc()
-				c.met.negativeHits.Inc()
-				c.tMiss(tid)
-				return zero, LoadNegative
-			case stale:
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				sh.stats.StaleServed++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.met.staleServed.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				return e.val, LoadStale
-			default:
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				return e.val, LoadHit
-			}
-		}
+	e := &sh.sets[set].entries[w]
+	if e.neg {
+		sh.stats.Misses++
+		sh.stats.NegativeHits++
+		c.tMiss(tid)
+		return zero, LoadNegative
 	}
-	sh.stats.Misses++
-	c.met.misses.Inc()
-	c.tMiss(tid)
-	c.consultShadow(sh, shIdx, idx, h, tid)
-	return zero, LoadMiss
+	c.hit(sh, shIdx, idx, set, w, tid)
+	if stale {
+		sh.stats.StaleServed++
+		return e.val, LoadStale
+	}
+	return e.val, LoadHit
+}
+
+// peekLoadT classifies what is resident under key in tenant tid's namespace
+// without counting a Get or feeding the demand monitors — the load path's
+// second look, after its counted lookup has already missed. Only lazy
+// expiry of the entry it examines can change state.
+func (c *Cache[K, V]) peekLoadT(tid int, key K) (V, LoadState) {
+	var zero V
+	h := c.thash(tid, key)
+	sh, shIdx := c.shardOf(h)
+
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	clk := clock{now: c.now}
+	set, w, stale := c.probe(sh, shIdx, c.setOf(h), key, h, &clk)
+	if w < 0 {
+		return zero, LoadMiss
+	}
+	switch e := &sh.sets[set].entries[w]; {
+	case e.neg:
+		return zero, LoadNegative
+	case stale:
+		return e.val, LoadStale
+	default:
+		return e.val, LoadHit
+	}
 }
 
 // load runs the singleflight miss path: one goroutine per key becomes the
@@ -272,7 +250,6 @@ func (c *Cache[K, V]) load(ctx context.Context, tid int, key K, loader Loader[K,
 	if f, ok := c.flights[fk]; ok {
 		c.loadMu.Unlock()
 		c.loadDedup.Add(1)
-		c.met.loadDedup.Inc()
 		select {
 		case <-f.done:
 			return f.val, f.err
@@ -284,14 +261,28 @@ func (c *Cache[K, V]) load(ctx context.Context, tid int, key K, loader Loader[K,
 	c.flights[fk] = f
 	c.loadMu.Unlock()
 
+	// The caller's lookup missed, but a previous leader may have stored the
+	// key and removed its flight since: look again before going to the
+	// origin. The flight is registered first, so the look cannot miss a
+	// store made by a leader whose flight was already gone. A stale value
+	// does not count — a revalidation must refresh it.
+	if v, state := c.peekLoadT(tid, key); state == LoadHit || state == LoadNegative {
+		c.loadDedup.Add(1)
+		var err error
+		if state == LoadNegative {
+			err = ErrNotFound
+		}
+		return c.land(fk, f, v, err)
+	}
+
 	c.loads.Add(1)
-	c.met.loads.Inc()
-	t0 := c.now()
+	var t0 int64
+	if c.loaderLat != nil {
+		t0 = c.now()
+	}
 	v, err := loader(ctx, key)
-	if d := c.now() - t0; d > 0 {
-		c.met.loaderLat.Observe(uint64(d) / uint64(time.Microsecond))
-	} else {
-		c.met.loaderLat.Observe(0)
+	if c.loaderLat != nil {
+		c.loaderLat.Observe(uint64(max(c.now()-t0, 0)) / uint64(time.Microsecond))
 	}
 	switch {
 	case err == nil:
@@ -300,9 +291,14 @@ func (c *Cache[K, V]) load(ctx context.Context, tid int, key K, loader Loader[K,
 		v, err = zero, ErrNotFound
 		c.setNegativeT(tid, key)
 	}
-	// Publish before unblocking waiters, and store into the cache before
-	// removing the flight: a goroutine that found the flight gone finds
-	// the value resident instead.
+	return c.land(fk, f, v, err)
+}
+
+// land completes flight f with its outcome. The leader has already stored
+// the outcome into the cache, and the outcome is published before waiters
+// are unblocked and the flight removed: a goroutine that finds the flight
+// gone finds the value resident instead.
+func (c *Cache[K, V]) land(fk tkey[K], f *flight[V], v V, err error) (V, error) {
 	f.val, f.err = v, err
 	c.loadMu.Lock()
 	delete(c.flights, fk)
@@ -333,20 +329,18 @@ func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
+	clk := clock{now: c.now}
 	var fresh, exp int64
-	if ttl > 0 {
-		if c.cfg.StaleTTL > 0 {
-			fresh = nowN + int64(ttl)
+	if c.cfg.StaleTTL > 0 {
+		if fresh = clk.deadline(ttl); fresh != 0 {
 			exp = fresh + int64(c.cfg.StaleTTL)
-		} else {
-			exp = nowN + int64(ttl)
 		}
+	} else {
+		exp = clk.deadline(ttl)
 	}
 	sh.tick++
 	sh.stats.Puts++
-	c.met.puts.Inc()
-	c.store(sh, shIdx, tid, key, value, h, nowN, fresh, exp, false)
+	c.store(sh, shIdx, tid, key, value, h, &clk, fresh, exp, false)
 }
 
 // SetNegative installs a negative marker under key for NegativeTTL: until
@@ -368,11 +362,10 @@ func (c *Cache[K, V]) setNegativeT(tid int, key K) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
+	clk := clock{now: c.now}
 	sh.tick++
 	sh.stats.Puts++
-	c.met.puts.Inc()
-	c.store(sh, shIdx, tid, key, zero, h, nowN, 0, nowN+int64(c.cfg.NegativeTTL), true)
+	c.store(sh, shIdx, tid, key, zero, h, &clk, 0, clk.deadline(c.cfg.NegativeTTL), true)
 }
 
 // jitterTTL shortens ttl by a uniform fraction in [0, TTLJitter), the

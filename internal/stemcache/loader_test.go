@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tenant"
 )
 
 // loaderCfg is a small geometry with the load knobs the test wants.
@@ -86,6 +88,66 @@ func TestGetOrLoadSingleflight(t *testing.T) {
 	st := c.Stats()
 	if st.Loads != 1 || st.LoadDedup != waiters {
 		t.Fatalf("Loads = %d, LoadDedup = %d; want 1, %d", st.Loads, st.LoadDedup, waiters)
+	}
+}
+
+// TestGetOrLoadRechecksAfterLeaderLanded pins the singleflight window: a
+// GetOrLoad whose lookup misses before a concurrent leader stores the
+// value, but which reaches the singleflight table only after that leader
+// has removed its flight, must find the value resident instead of calling
+// the origin a second time. The test drives that interleaving step by
+// step: GetOrLoad is the counted lookup followed by load, so the late
+// caller's two halves run around the leader's whole call.
+func TestGetOrLoadRechecksAfterLeaderLanded(t *testing.T) {
+	cfg := loaderCfg()
+	cfg.NegativeTTL = time.Minute
+	c := mustNew[string, int](cfg)
+	defer c.Close()
+	ctx := context.Background()
+	calls := 0
+	ld := func(ctx context.Context, key string) (int, error) {
+		calls++
+		if key == "absent" {
+			return 0, ErrNotFound
+		}
+		return 42, nil
+	}
+
+	for _, tc := range []struct {
+		key     string
+		wantV   int
+		wantErr error
+	}{{"k", 42, nil}, {"absent", 0, ErrNotFound}} {
+		calls = 0
+		// The late caller's lookup misses...
+		if _, state := c.lookupLoadT(tenant.DefaultID, tc.key); state != LoadMiss {
+			t.Fatalf("%s: first lookup = %v; want miss", tc.key, state)
+		}
+		// ...the leader runs a whole GetOrLoad: load, store, flight removed...
+		if v, err := c.GetOrLoad(ctx, tc.key, ld); v != tc.wantV || err != tc.wantErr {
+			t.Fatalf("%s: leader got %d, %v", tc.key, v, err)
+		}
+		// ...and only then does the late caller reach the flight table.
+		if v, err := c.load(ctx, tenant.DefaultID, tc.key, ld); v != tc.wantV || err != tc.wantErr {
+			t.Fatalf("%s: late caller got %d, %v; want %d, %v", tc.key, v, err, tc.wantV, tc.wantErr)
+		}
+		if calls != 1 {
+			t.Fatalf("%s: origin calls = %d; want 1", tc.key, calls)
+		}
+	}
+	st := c.Stats()
+	if st.Loads != 2 || st.LoadDedup != 2 {
+		t.Fatalf("Loads = %d, LoadDedup = %d; want 2, 2 (one load and one dedup per key)", st.Loads, st.LoadDedup)
+	}
+	// The second look is not a Get: two counted lookups per key, both misses.
+	if st.Gets != 4 || st.Misses != 4 || st.Gets != st.Hits+st.Misses {
+		t.Fatalf("Gets %d, Hits %d, Misses %d; want 4, 0, 4", st.Gets, st.Hits, st.Misses)
+	}
+	c.loadMu.Lock()
+	left := len(c.flights)
+	c.loadMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights left registered", left)
 	}
 }
 

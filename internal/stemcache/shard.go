@@ -2,6 +2,7 @@ package stemcache
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -93,18 +94,49 @@ func freeWay[K comparable, V any](s *kvSet[K, V]) int {
 // events.
 func (c *Cache[K, V]) gid(shIdx, idx int) int { return shIdx*c.sets + idx }
 
+// clock is one operation's wall clock, read lazily: the first get calls now
+// and every later get returns the same instant. An op builds one on its
+// stack after taking the shard lock, so it makes at most one clock read,
+// under that lock — and none at all unless it touches a deadline (a
+// matching entry with exp or fresh set) or stamps one (a TTL'd, loaded or
+// negative store). Residency, staleness and death are all decided by that
+// single read, so a key read exactly at a deadline classifies the same way
+// for every operation serialized at that instant.
+type clock struct {
+	now  func() int64
+	n    int64
+	read bool
+}
+
+func (k *clock) get() int64 {
+	if !k.read {
+		k.n, k.read = k.now(), true
+	}
+	return k.n
+}
+
+// deadline returns the instant ttl from now, or 0 (never) for ttl <= 0.
+func (k *clock) deadline(ttl time.Duration) int64 {
+	if ttl <= 0 {
+		return 0
+	}
+	return k.get() + int64(ttl)
+}
+
 // findLocal returns the way of set idx holding key as a local (non-cc)
 // entry, or -1, plus whether the entry is stale (past its freshness
 // deadline but not yet expired). A matching entry that has expired is
-// collected on the spot and reported as absent (lazy expiry). Residency,
-// staleness and death are all decided by the single nowN the caller read
-// under the shard lock, so a key read exactly at a deadline classifies the
-// same way for every operation serialized at that instant.
-func (c *Cache[K, V]) findLocal(sh *shard[K, V], idx int, key K, h uint64, nowN int64) (way int, stale bool) {
+// collected on the spot and reported as absent (lazy expiry). The clock is
+// read only for an entry that carries a deadline.
+func (c *Cache[K, V]) findLocal(sh *shard[K, V], idx int, key K, h uint64, clk *clock) (way int, stale bool) {
 	s := &sh.sets[idx]
 	for w := range s.entries {
 		e := &s.entries[w]
 		if e.valid && !e.cc && e.hash == h && e.key == key {
+			if e.exp == 0 && e.fresh == 0 {
+				return w, false
+			}
+			nowN := clk.get()
 			if e.exp != 0 && nowN > e.exp {
 				c.expireLocal(sh, idx, w)
 				return -1, false
@@ -117,21 +149,56 @@ func (c *Cache[K, V]) findLocal(sh *shard[K, V], idx int, key K, h uint64, nowN 
 
 // findCC returns the way of giver set gidx holding key as a cooperatively
 // cached entry, or -1, collecting it if expired; stale as in findLocal.
-func (c *Cache[K, V]) findCC(sh *shard[K, V], shIdx, gidx int, key K, h uint64, nowN int64) (way int, stale bool) {
+func (c *Cache[K, V]) findCC(sh *shard[K, V], shIdx, gidx int, key K, h uint64, clk *clock) (way int, stale bool) {
 	g := &sh.sets[gidx]
 	for w := range g.entries {
 		e := &g.entries[w]
 		if e.valid && e.cc && e.hash == h && e.key == key {
+			if e.exp == 0 && e.fresh == 0 {
+				return w, false
+			}
+			nowN := clk.get()
 			if e.exp != 0 && nowN > e.exp {
 				c.dropCC(sh, shIdx, gidx, w)
 				sh.stats.Expirations++
-				c.met.expired.Inc()
 				return -1, false
 			}
 			return w, e.fresh != 0 && nowN > e.fresh
 		}
 	}
 	return -1, false
+}
+
+// probe finds key's resident entry: in its own set idx, or — when idx is a
+// taker — cooperatively cached in the coupled giver (the paper's secondary
+// tag probe). It returns the holding set's index (idx itself for a local
+// entry), the way (-1 when absent) and whether the entry is stale.
+func (c *Cache[K, V]) probe(sh *shard[K, V], shIdx, idx int, key K, h uint64, clk *clock) (set, way int, stale bool) {
+	if w, st := c.findLocal(sh, idx, key, h, clk); w >= 0 {
+		return idx, w, st
+	}
+	s := &sh.sets[idx]
+	if s.role == taker {
+		if w, st := c.findCC(sh, shIdx, s.partner, key, h, clk); w >= 0 {
+			return s.partner, w, st
+		}
+	}
+	return idx, -1, false
+}
+
+// hit counts a Get hit of tenant tid on the entry probe found at (set, w)
+// and applies the hit-side mechanism updates. Cooperative hits update
+// neither set's counters: they are not local-capacity evidence for either
+// working set.
+func (c *Cache[K, V]) hit(sh *shard[K, V], shIdx, idx, set, w, tid int) {
+	sh.stats.Hits++
+	c.tHit(tid)
+	sh.sets[set].pol.OnHit(w)
+	if set == idx {
+		c.onLocalHit(sh, shIdx, idx)
+	} else {
+		sh.stats.SecondaryHits++
+	}
 }
 
 // expireLocal collects the expired local entry at (idx, w).
@@ -143,7 +210,6 @@ func (c *Cache[K, V]) expireLocal(sh *shard[K, V], idx, w int) {
 	sh.live--
 	c.tLiveDec(owner)
 	sh.stats.Expirations++
-	c.met.expired.Inc()
 }
 
 // dropCC removes the cooperatively cached entry at (gidx, w) — on deletion
@@ -172,7 +238,6 @@ func (c *Cache[K, V]) consultShadow(sh *shard[K, V], shIdx, idx int, h uint64, t
 	if s.mon.Shadow.LookupInvalidate(c.sigOf(h)) {
 		swap := s.mon.OnShadowHit(c.cgeom)
 		sh.stats.ShadowHits++
-		c.met.shadowHits.Inc()
 		c.tShadow(tid)
 		if c.observer != nil {
 			c.emit(obs.Event{
@@ -222,7 +287,6 @@ func (c *Cache[K, V]) swapPolicies(sh *shard[K, V], shIdx, idx int) {
 	s.mon.Shadow.SwapPolicy(policy.Opposite(next))
 	s.mon.ScT = 0
 	sh.stats.PolicySwaps++
-	c.met.policySwaps.Inc()
 	if c.observer != nil {
 		c.emit(obs.Event{
 			Type: obs.EvPolicySwap, Tick: sh.tick, Set: c.gid(shIdx, idx),
@@ -253,7 +317,6 @@ func (c *Cache[K, V]) tryCouple(sh *shard[K, V], shIdx, idx int) {
 		s.coupledAt, g.coupledAt = sh.tick, sh.tick
 		sh.heap.Remove(idx)
 		sh.stats.Couplings++
-		c.met.couplings.Inc()
 		if c.observer != nil {
 			c.emit(obs.Event{
 				Type: obs.EvCouple, Tick: sh.tick,
@@ -319,8 +382,6 @@ func (c *Cache[K, V]) receive(sh *shard[K, V], shIdx, gidx int, v entry[K, V]) {
 	g.foreign++
 	sh.stats.Spills++
 	sh.stats.Receives++
-	c.met.spills.Inc()
-	c.met.receives.Inc()
 	if c.observer != nil {
 		t := g.partner
 		ts := &sh.sets[t]
@@ -344,7 +405,6 @@ func (c *Cache[K, V]) evict(sh *shard[K, V], v entry[K, V]) {
 	sh.live--
 	c.tLiveDec(v.ten)
 	sh.stats.Evictions++
-	c.met.evictions.Inc()
 	owner := c.setOf(v.hash)
 	sh.sets[owner].mon.Shadow.Insert(c.sigOf(v.hash))
 }
@@ -358,7 +418,6 @@ func (c *Cache[K, V]) decouple(sh *shard[K, V], shIdx, gidx int) {
 	t.partner, t.role = tIdx, uncoupled
 	g.partner, g.role = gidx, uncoupled
 	sh.stats.Decouplings++
-	c.met.decouplings.Inc()
 	if c.observer != nil {
 		c.emit(obs.Event{
 			Type: obs.EvDecouple, Tick: sh.tick,

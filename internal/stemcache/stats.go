@@ -110,42 +110,51 @@ func (s *Stats) add(o Stats) {
 	s.CoupledSets += o.CoupledSets
 }
 
-// metrics holds the obs.Registry counters the cache feeds. With no registry
-// configured every field is nil, and obs.Counter's nil-receiver methods
-// make each update a single branch — same convention as the simulators.
-type metrics struct {
-	gets, hits, misses, puts, deletes   *obs.Counter
-	evictions, expired                  *obs.Counter
-	secondaryHits, shadowHits           *obs.Counter
-	policySwaps, couplings, decouplings *obs.Counter
-	spills, receives                    *obs.Counter
-	loads, loadDedup                    *obs.Counter
-	staleServed, negativeHits           *obs.Counter
-	loaderLat                           *obs.LatencyHistogram
-}
-
-// newMetrics registers the cache's counters under "stemcache.*". A nil
-// registry yields all-nil (no-op) counters.
-func newMetrics(reg *obs.Registry) metrics {
-	return metrics{
-		gets:          reg.Counter("stemcache.gets"),
-		hits:          reg.Counter("stemcache.hits"),
-		misses:        reg.Counter("stemcache.misses"),
-		puts:          reg.Counter("stemcache.puts"),
-		deletes:       reg.Counter("stemcache.deletes"),
-		evictions:     reg.Counter("stemcache.evictions"),
-		expired:       reg.Counter("stemcache.expirations"),
-		secondaryHits: reg.Counter("stemcache.secondary_hits"),
-		shadowHits:    reg.Counter("stemcache.shadow_hits"),
-		policySwaps:   reg.Counter("stemcache.policy_swaps"),
-		couplings:     reg.Counter("stemcache.couplings"),
-		decouplings:   reg.Counter("stemcache.decouplings"),
-		spills:        reg.Counter("stemcache.spills"),
-		receives:      reg.Counter("stemcache.receives"),
-		loads:         reg.Counter("stemcache.loads"),
-		loadDedup:     reg.Counter("stemcache.load_dedup"),
-		staleServed:   reg.Counter("stemcache.stale_served"),
-		negativeHits:  reg.Counter("stemcache.negative_hits"),
-		loaderLat:     reg.Latency("stemcache.lat.loader_us"),
+// registerCounters registers one collector per Stats counter under
+// "stemcache.*", so the registry reads the one count the op path keeps,
+// under the shard lock it already holds: operations never write the
+// registry. A collector sums its field over the shards, locking each in
+// turn, when the registry is read; the singleflight counters read their
+// atomics. Caches sharing a registry sum.
+func (c *Cache[K, V]) registerCounters(reg *obs.Registry) {
+	if reg == nil {
+		return
 	}
+	shardSum := func(field func(*Stats) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for i := range c.shards {
+				sh := &c.shards[i]
+				sh.mu.Lock()
+				n += field(&sh.stats)
+				sh.mu.Unlock()
+			}
+			return n
+		}
+	}
+	for _, ctr := range []struct {
+		name  string
+		field func(*Stats) uint64
+	}{
+		{"stemcache.gets", func(s *Stats) uint64 { return s.Gets }},
+		{"stemcache.hits", func(s *Stats) uint64 { return s.Hits }},
+		{"stemcache.misses", func(s *Stats) uint64 { return s.Misses }},
+		{"stemcache.puts", func(s *Stats) uint64 { return s.Puts }},
+		{"stemcache.deletes", func(s *Stats) uint64 { return s.Deletes }},
+		{"stemcache.evictions", func(s *Stats) uint64 { return s.Evictions }},
+		{"stemcache.expirations", func(s *Stats) uint64 { return s.Expirations }},
+		{"stemcache.secondary_hits", func(s *Stats) uint64 { return s.SecondaryHits }},
+		{"stemcache.shadow_hits", func(s *Stats) uint64 { return s.ShadowHits }},
+		{"stemcache.policy_swaps", func(s *Stats) uint64 { return s.PolicySwaps }},
+		{"stemcache.couplings", func(s *Stats) uint64 { return s.Couplings }},
+		{"stemcache.decouplings", func(s *Stats) uint64 { return s.Decouplings }},
+		{"stemcache.spills", func(s *Stats) uint64 { return s.Spills }},
+		{"stemcache.receives", func(s *Stats) uint64 { return s.Receives }},
+		{"stemcache.stale_served", func(s *Stats) uint64 { return s.StaleServed }},
+		{"stemcache.negative_hits", func(s *Stats) uint64 { return s.NegativeHits }},
+	} {
+		reg.Counter(ctr.name).Collect(shardSum(ctr.field))
+	}
+	reg.Counter("stemcache.loads").Collect(c.loads.Load)
+	reg.Counter("stemcache.load_dedup").Collect(c.loadDedup.Load)
 }

@@ -24,16 +24,22 @@
 //     the pair dissolves once the giver has evicted every spilled entry.
 //
 // All operations are safe for concurrent use. A single shard is a
-// single-writer state machine guarded by its mutex; the only cross-shard
-// state is the aggregate Stats view and the optional observability sinks,
-// which are atomic (obs.Registry) or serialized (obs.Observer).
+// single-writer state machine guarded by its mutex, and its Stats are the
+// only per-operation counts the cache keeps: the stemcache.* counters of an
+// attached obs.Registry are scrape-time views of them, so monitoring adds
+// nothing to an operation. The only cross-shard state is the aggregate
+// Stats view and the optional observability sinks, which are atomic
+// (obs.Registry) or serialized (obs.Observer).
 //
 // Entries may carry a TTL. Expiry is lazy: an expired entry is collected by
 // whichever operation next touches it (and counts as a miss), never by a
-// background sweeper. Every operation classifies an entry as live, stale or
-// dead against a single clock read taken under the shard lock, so a key
-// read exactly at its deadline is deterministically one or the other —
-// never double-counted in the hit/miss statistics.
+// background sweeper. An operation reads the wall clock at most once, under
+// the shard lock, and only when a deadline is involved — it examines a
+// matching entry that carries one, or stamps one — so entries without a
+// TTL never pay for the clock. Every deadline an operation checks is
+// checked against that one read, so a key read exactly at its deadline is
+// deterministically live or dead — never double-counted in the hit/miss
+// statistics.
 //
 // Beyond the passive Get/Set surface the cache can load through to an
 // origin: GetOrLoad runs a Loader on a miss with singleflight deduplication
@@ -155,9 +161,12 @@ type Config struct {
 	// builds.
 	DisableSwap bool
 
-	// Metrics, when non-nil, receives atomic counters under "stemcache.*"
-	// (hits, misses, evictions, spills, policy_swaps, ...). Safe to share
-	// with a live obs.Server.
+	// Metrics, when non-nil, exposes the Stats counters under "stemcache.*"
+	// (hits, misses, evictions, spills, policy_swaps, ...) plus the loader
+	// latency histogram. The counters are read from the shard Stats when
+	// the registry is read, so operations pay nothing for them; caches
+	// sharing a registry sum, and the registry keeps every such cache
+	// reachable. Safe to share with a live obs.Server.
 	Metrics *obs.Registry
 	// Observer, when non-nil, receives one obs.Event per mechanism action
 	// (shadow_hit, policy_swap, couple, decouple, spill, receive), exactly
@@ -258,11 +267,11 @@ type Cache[K comparable, V any] struct {
 	cgeom core.CounterGeom
 	sig   *hashfn.Hash // read-only after construction; safe concurrently
 
-	met      metrics
-	obsMu    sync.Mutex // serializes Observer calls across shards
-	observer obs.Observer
+	loaderLat *obs.LatencyHistogram // nil without a registry
+	obsMu     sync.Mutex            // serializes Observer calls across shards
+	observer  obs.Observer
 
-	now func() int64 // nanoseconds; swapped out by TTL tests
+	now func() int64 // nanoseconds, read through a per-op clock; swapped out by TTL tests
 
 	// Read-through state (loader.go). loadMu guards the singleflight
 	// table, the pending-refresh set, the jitter RNG and loadClosed; its
@@ -280,7 +289,8 @@ type Cache[K comparable, V any] struct {
 	refreshCancel func()
 
 	// Singleflight outcome counters. They are cross-shard (a load is not
-	// owned by any shard lock), hence atomic rather than sh.stats fields.
+	// owned by any shard lock), hence atomic rather than sh.stats fields;
+	// the registry's stemcache.loads and load_dedup read them directly.
 	loads     atomic.Uint64
 	loadDedup atomic.Uint64
 
@@ -344,7 +354,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		sets:      sets,
 		cgeom:     core.NewCounterGeom(cfg.CounterBits),
 		sig:       hashfn.New(cfg.SignatureBits, cfg.Seed^0x5717),
-		met:       newMetrics(cfg.Metrics),
+		loaderLat: cfg.Metrics.Latency("stemcache.lat.loader_us"),
 		observer:  cfg.Observer,
 		// The wall clock only decides TTL expiry, never eviction order, so
 		// Stats stay seed-deterministic; tests swap c.now for a fake clock.
@@ -380,6 +390,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 			}
 		}
 	}
+	c.registerCounters(cfg.Metrics)
 	return c
 }
 
@@ -408,59 +419,29 @@ func (c *Cache[K, V]) getT(tid int, key K) (V, bool) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The clock is read under the lock: the one nowN decides residency,
-	// staleness and expiry together, so operations serialized by the shard
-	// lock agree on an entry's state at its exact deadline.
-	nowN := c.now()
+	clk := clock{now: c.now}
 	sh.tick++
 	sh.stats.Gets++
-	c.met.gets.Inc()
 	c.tGet(tid)
 
 	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, stale := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		if e := &s.entries[w]; !stale && !e.neg {
-			sh.stats.Hits++
-			c.met.hits.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, true
-		}
-		// Stale or negative: a miss for plain Get, but the entry stays
-		// resident for the load path (GetOrLoad serves stale values and
-		// answers negative markers with ErrNotFound). The key is still
-		// resident, so this is not shadow-directory demand evidence.
+	set, w, stale := c.probe(sh, shIdx, idx, key, h, &clk)
+	if w < 0 {
 		sh.stats.Misses++
-		c.met.misses.Inc()
 		c.tMiss(tid)
+		c.consultShadow(sh, shIdx, idx, h, tid)
 		return zero, false
 	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, stale := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			if e := &p.entries[w]; !stale && !e.neg {
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				// Cooperative hits update neither set's counters: they are
-				// not local-capacity evidence for either working set.
-				return e.val, true
-			}
-			sh.stats.Misses++
-			c.met.misses.Inc()
-			c.tMiss(tid)
-			return zero, false
-		}
+	if e := &sh.sets[set].entries[w]; !stale && !e.neg {
+		c.hit(sh, shIdx, idx, set, w, tid)
+		return e.val, true
 	}
+	// Stale or negative: a miss for plain Get, but the entry stays resident
+	// for the load path (GetOrLoad serves stale values and answers negative
+	// markers with ErrNotFound). The key is still resident, so this is not
+	// shadow-directory demand evidence.
 	sh.stats.Misses++
-	c.met.misses.Inc()
 	c.tMiss(tid)
-	c.consultShadow(sh, shIdx, idx, h, tid)
 	return zero, false
 }
 
@@ -486,15 +467,10 @@ func (c *Cache[K, V]) setWithTTLT(tid int, key K, value V, ttl time.Duration) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	var exp int64
-	if ttl > 0 {
-		exp = nowN + int64(ttl)
-	}
+	clk := clock{now: c.now}
 	sh.tick++
 	sh.stats.Puts++
-	c.met.puts.Inc()
-	c.store(sh, shIdx, tid, key, value, h, nowN, 0, exp, false)
+	c.store(sh, shIdx, tid, key, value, h, &clk, 0, clk.deadline(ttl), false)
 }
 
 // store is the shared write path (caller holds sh.mu and has counted its
@@ -502,35 +478,32 @@ func (c *Cache[K, V]) setWithTTLT(tid int, key K, value V, ttl time.Duration) {
 // stale — or run the miss path and insert, with the STEM engine picking the
 // victim. fresh/neg carry the read-through semantics; a plain Set passes
 // fresh 0 and neg false, resetting any loader state the key had.
-func (c *Cache[K, V]) store(sh *shard[K, V], shIdx, tid int, key K, value V, h uint64, nowN, fresh, exp int64, neg bool) {
+func (c *Cache[K, V]) store(sh *shard[K, V], shIdx, tid int, key K, value V, h uint64, clk *clock, fresh, exp int64, neg bool) {
 	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, _ := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		e := &s.entries[w]
+	if set, w, _ := c.probe(sh, shIdx, idx, key, h, clk); w >= 0 {
+		e := &sh.sets[set].entries[w]
 		e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
-		s.pol.OnHit(w)
-		// An overwrite touches a resident entry: local-capacity evidence
-		// for the demand counters, though not a Get hit for Stats.
-		c.onLocalHit(sh, shIdx, idx)
-		return
-	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, _ := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			e := &p.entries[w]
-			e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
-			p.pol.OnHit(w)
-			return
+		sh.sets[set].pol.OnHit(w)
+		// A local overwrite touches a resident entry: local-capacity
+		// evidence for the demand counters, though not a Get hit for Stats.
+		if set == idx {
+			c.onLocalHit(sh, shIdx, idx)
 		}
+		return
 	}
 
 	// Miss: consult the shadow directory, then fill locally (the library
 	// analogue of the simulator's miss path).
 	c.consultShadow(sh, shIdx, idx, h, tid)
+	c.insert(sh, shIdx, idx, tid, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, valid: true, ten: uint16(tid)})
+}
 
-	// An at-target tenant recycles its own footprint even while the set has
-	// free ways (quotaVictim); otherwise a free way is used, and only a full
-	// set runs the STEM victim path.
+// insert places the new entry e into set idx (caller holds sh.mu). An
+// at-target tenant recycles its own footprint even while the set has free
+// ways (quotaVictim); otherwise a free way is used, and only a full set runs
+// the STEM victim path.
+func (c *Cache[K, V]) insert(sh *shard[K, V], shIdx, idx, tid int, e entry[K, V]) {
+	s := &sh.sets[idx]
 	way := c.quotaVictim(s, tid)
 	if way >= 0 {
 		victim := s.entries[way]
@@ -552,7 +525,7 @@ func (c *Cache[K, V]) store(sh *shard[K, V], shIdx, tid int, key K, value V, h u
 		s.pol.OnInvalidate(way)
 		c.routeVictim(sh, shIdx, idx, victim)
 	}
-	s.entries[way] = entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, valid: true, ten: uint16(tid)}
+	s.entries[way] = e
 	s.pol.OnInsert(way)
 	sh.live++
 	c.tLiveInc(tid)
@@ -584,96 +557,33 @@ func (c *Cache[K, V]) getOrSetWithTTLT(tid int, key K, value V, ttl time.Duratio
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	var exp int64
-	if ttl > 0 {
-		exp = nowN + int64(ttl)
-	}
+	clk := clock{now: c.now}
 	sh.tick++
 	sh.stats.Gets++
-	c.met.gets.Inc()
 	c.tGet(tid)
 
 	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, stale := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		e := &s.entries[w]
+	set, w, stale := c.probe(sh, shIdx, idx, key, h, &clk)
+	if w >= 0 {
+		e := &sh.sets[set].entries[w]
 		if !stale && !e.neg {
-			sh.stats.Hits++
-			c.met.hits.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
+			c.hit(sh, shIdx, idx, set, w, tid)
 			return e.val, true
 		}
-		// Stale or negative residency loses to the offered value: count
-		// the miss and the put, and overwrite in place (no second copy of
-		// the key may enter the set).
-		sh.stats.Misses++
-		c.met.misses.Inc()
-		c.tMiss(tid)
-		sh.stats.Puts++
-		c.met.puts.Inc()
-		e.val, e.exp, e.fresh, e.neg = value, exp, 0, false
-		s.pol.OnInsert(w)
-		return value, false
 	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, stale := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			e := &p.entries[w]
-			if !stale && !e.neg {
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				return e.val, true
-			}
-			sh.stats.Misses++
-			c.met.misses.Inc()
-			c.tMiss(tid)
-			sh.stats.Puts++
-			c.met.puts.Inc()
-			e.val, e.exp, e.fresh, e.neg = value, exp, 0, false
-			p.pol.OnInsert(w)
-			return value, false
-		}
-	}
-
+	// Absent — or stale or negative residency, which loses to the offered
+	// value: count the miss and the put.
 	sh.stats.Misses++
-	c.met.misses.Inc()
 	c.tMiss(tid)
 	sh.stats.Puts++
-	c.met.puts.Inc()
-	// Same insert discipline as store: quota recycle first, then free way,
-	// then the STEM victim path.
-	way := c.quotaVictim(s, tid)
-	if way >= 0 {
-		victim := s.entries[way]
-		s.entries[way].valid = false
-		s.pol.OnInvalidate(way)
-		c.routeVictim(sh, shIdx, idx, victim)
-	} else if way = freeWay(s); way < 0 {
-		if s.role == uncoupled && s.mon.IsTaker(c.cgeom) && !c.cfg.DisableCoupling {
-			c.tryCouple(sh, shIdx, idx)
-		}
-		way = c.victimFor(s, tid)
-		if way < 0 {
-			// invariant: a full set always has a victim — every policy's
-			// Victim returns a way once no free way exists.
-			panic("stemcache: full set but policy reports no victim")
-		}
-		victim := s.entries[way]
-		s.entries[way].valid = false
-		s.pol.OnInvalidate(way)
-		c.routeVictim(sh, shIdx, idx, victim)
+	if w >= 0 {
+		// Overwrite in place: no second copy of the key may enter the set.
+		e := &sh.sets[set].entries[w]
+		e.val, e.exp, e.fresh, e.neg = value, clk.deadline(ttl), 0, false
+		sh.sets[set].pol.OnInsert(w)
+		return value, false
 	}
-	s.entries[way] = entry[K, V]{key: key, val: value, hash: h, exp: exp, valid: true, ten: uint16(tid)}
-	s.pol.OnInsert(way)
-	sh.live++
-	c.tLiveInc(tid)
+	c.insert(sh, shIdx, idx, tid, entry[K, V]{key: key, val: value, hash: h, exp: clk.deadline(ttl), valid: true, ten: uint16(tid)})
 	return value, false
 }
 
@@ -693,29 +603,25 @@ func (c *Cache[K, V]) deleteT(tid int, key K) bool {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
+	clk := clock{now: c.now}
 	sh.tick++
 	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, _ := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
+	set, w, _ := c.probe(sh, shIdx, idx, key, h, &clk)
+	if w < 0 {
+		return false
+	}
+	if set == idx {
+		s := &sh.sets[idx]
 		owner := s.entries[w].ten
 		s.entries[w] = entry[K, V]{}
 		s.pol.OnInvalidate(w)
 		sh.live--
 		c.tLiveDec(owner)
-		sh.stats.Deletes++
-		c.met.deletes.Inc()
-		return true
+	} else {
+		c.dropCC(sh, shIdx, set, w)
 	}
-	if s.role == taker {
-		if w, _ := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			c.dropCC(sh, shIdx, s.partner, w)
-			sh.stats.Deletes++
-			c.met.deletes.Inc()
-			return true
-		}
-	}
-	return false
+	sh.stats.Deletes++
+	return true
 }
 
 // Len returns the number of unexpired resident entries. Entries whose TTL
@@ -751,7 +657,6 @@ func (c *Cache[K, V]) sweepExpired(sh *shard[K, V], shIdx int, nowN int64) {
 			if e.cc {
 				c.dropCC(sh, shIdx, idx, w)
 				sh.stats.Expirations++
-				c.met.expired.Inc()
 			} else {
 				c.expireLocal(sh, idx, w)
 			}

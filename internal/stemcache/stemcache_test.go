@@ -1,11 +1,14 @@
 package stemcache
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/tenant"
 )
 
 // small returns a deliberately tiny cache so tests exercise eviction.
@@ -239,27 +242,92 @@ func TestShardedLRUDisablesMechanisms(t *testing.T) {
 	}
 }
 
+// TestMetricsRegistryWiring checks every stemcache.* registry counter
+// against Stats: the counters are scrape-time views of the shard Stats, so
+// they must agree exactly, and two caches on one registry must sum.
 func TestMetricsRegistryWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := mustNew[int, int](Config{Capacity: 256, Shards: 2, Ways: 4, Seed: 1, Metrics: reg})
-	for i := 0; i < 2000; i++ {
-		if _, ok := c.Get(i % 600); !ok {
-			c.Set(i%600, i)
+	cfg := Config{
+		Capacity: 256, Shards: 2, Ways: 4, Seed: 1, Metrics: reg,
+		LoadTTL: 100, StaleTTL: 100, NegativeTTL: 1000,
+	}
+	a, b := mustNew[int, int](cfg), mustNew[int, int](cfg)
+	defer a.Close()
+	defer b.Close()
+	clock := int64(1000)
+	ld := func(ctx context.Context, key int) (int, error) { return key, nil }
+	for n, c := range []*Cache[int, int]{a, b} {
+		c.now = func() int64 { return clock }
+		// Cache-aside churn: gets, hits, misses, puts, evictions and the
+		// STEM mechanism counters.
+		for i := 0; i < 2000*(n+1); i++ {
+			if _, ok := c.Get(i % 600); !ok {
+				c.Set(i%600, i)
+			}
+		}
+		c.Set(-5, 0)
+		c.Delete(-5)
+		// Expiry, a stale serve and a negative hit on an injected clock.
+		c.SetWithTTL(-1, 0, 10)
+		c.SetLoaded(-2, 0)
+		c.SetNegative(-3)
+		clock += 150
+		c.Get(-1)
+		c.LookupLoad(-2)
+		c.LookupLoad(-3)
+		// A load, and a caller deduplicated onto its outcome.
+		if _, err := c.GetOrLoad(context.Background(), -4, ld); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.load(context.Background(), tenant.DefaultID, -4, ld); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
-	checks := map[string]uint64{
-		"stemcache.gets":        st.Gets,
-		"stemcache.hits":        st.Hits,
-		"stemcache.misses":      st.Misses,
-		"stemcache.puts":        st.Puts,
-		"stemcache.evictions":   st.Evictions,
-		"stemcache.shadow_hits": st.ShadowHits,
-		"stemcache.spills":      st.Spills,
+	// fires marks counters the workload above must drive off zero on each
+	// cache; the rest depend on mechanism timing.
+	counters := []struct {
+		name  string
+		field func(Stats) uint64
+		fires bool
+	}{
+		{"stemcache.gets", func(s Stats) uint64 { return s.Gets }, true},
+		{"stemcache.hits", func(s Stats) uint64 { return s.Hits }, true},
+		{"stemcache.misses", func(s Stats) uint64 { return s.Misses }, true},
+		{"stemcache.puts", func(s Stats) uint64 { return s.Puts }, true},
+		{"stemcache.deletes", func(s Stats) uint64 { return s.Deletes }, true},
+		{"stemcache.evictions", func(s Stats) uint64 { return s.Evictions }, true},
+		{"stemcache.expirations", func(s Stats) uint64 { return s.Expirations }, true},
+		{"stemcache.secondary_hits", func(s Stats) uint64 { return s.SecondaryHits }, false},
+		{"stemcache.shadow_hits", func(s Stats) uint64 { return s.ShadowHits }, true},
+		{"stemcache.policy_swaps", func(s Stats) uint64 { return s.PolicySwaps }, false},
+		{"stemcache.couplings", func(s Stats) uint64 { return s.Couplings }, false},
+		{"stemcache.decouplings", func(s Stats) uint64 { return s.Decouplings }, false},
+		{"stemcache.spills", func(s Stats) uint64 { return s.Spills }, false},
+		{"stemcache.receives", func(s Stats) uint64 { return s.Receives }, false},
+		{"stemcache.stale_served", func(s Stats) uint64 { return s.StaleServed }, true},
+		{"stemcache.negative_hits", func(s Stats) uint64 { return s.NegativeHits }, true},
+		{"stemcache.loads", func(s Stats) uint64 { return s.Loads }, true},
+		{"stemcache.load_dedup", func(s Stats) uint64 { return s.LoadDedup }, true},
 	}
-	for name, want := range checks {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("registry %s = %d, stats say %d", name, got, want)
+	sa, sb := a.Stats(), b.Stats()
+	snap := reg.Snapshot()
+	checked := map[string]bool{}
+	for _, ctr := range counters {
+		checked[ctr.name] = true
+		want := ctr.field(sa) + ctr.field(sb)
+		if got := reg.Counter(ctr.name).Value(); got != want {
+			t.Errorf("registry %s = %d, stats of both caches sum to %d", ctr.name, got, want)
+		}
+		if got := snap[ctr.name]; got != want {
+			t.Errorf("snapshot %s = %v, stats of both caches sum to %d", ctr.name, got, want)
+		}
+		if ctr.fires && (ctr.field(sa) == 0 || ctr.field(sb) == 0) {
+			t.Errorf("%s stayed 0 on a cache; the workload does not cover it", ctr.name)
+		}
+	}
+	for name, v := range snap {
+		if _, isCounter := v.(uint64); isCounter && strings.HasPrefix(name, "stemcache.") && !checked[name] {
+			t.Errorf("registry counter %s has no Stats check", name)
 		}
 	}
 }
